@@ -4,11 +4,11 @@
 
    Usage:
      dune exec bench/main.exe            -- everything (figures, ablations, kernels)
-     dune exec bench/main.exe quick      -- reduced-scale smoke run (writes BENCH_1.json)
+     dune exec bench/main.exe quick      -- reduced-scale smoke run (writes the next BENCH_N.json)
      dune exec bench/main.exe fig4a      -- a single figure (fig4a..fig7b)
      dune exec bench/main.exe ablation   -- design-choice ablations
      dune exec bench/main.exe bechamel   -- kernel timings only
-     dune exec bench/main.exe baseline   -- parallel baseline only (writes BENCH_1.json)
+     dune exec bench/main.exe baseline   -- parallel baseline only (writes the next BENCH_N.json)
      dune exec bench/main.exe obs        -- telemetry overhead check (disabled-path cost)
      dune exec bench/main.exe nscale     -- lazy vs eager aux-graph scaling (add --quick for CI)
      dune exec bench/main.exe pareto     -- shared-state deadline sweep vs independent solves (add --quick for CI)
@@ -24,7 +24,7 @@
    snapshot, the Chrome trace_event span file, resp. the folded
    profile artifacts (docs/PROFILING.md), on exit — every mode accepts
    them.  The baseline mode always runs with telemetry on and embeds
-   each kernel's counter deltas in BENCH_1.json.
+   each kernel's counter deltas in the BENCH_N.json it writes.
 
    Figures (paper <-> here):
      fig4a/fig4b  energy vs delay constraint, (FR-)EEDCB, N in {10,20,30}
@@ -382,9 +382,9 @@ let nscale_problem n =
   Problem.make ~graph ~phy:Tmedb_channel.Phy.default ~channel:`Static ~source:0
     ~deadline:(Tmedb_tveg.Scale.deadline ~params ()) ()
 
-let nscale_outcome ~lazy_aux planner n =
+let nscale_outcome planner n =
   let p = nscale_problem n in
-  let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap ~lazy_aux () in
+  let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap () in
   let t0 = Unix.gettimeofday () in
   let o = Planner.run ~ctx planner p in
   (o, Unix.gettimeofday () -. t0, p)
@@ -404,27 +404,49 @@ let nscale ~quick () =
       (Metrics.normalized_energy p o.Planner.Outcome.schedule)
       (List.length o.Planner.Outcome.unreached)
   in
-  (* 1. Correctness: eager and lazy SPT agree bit for bit. *)
+  (* 1. Correctness: SPT's targeted scan must see the same distances
+     and predecessors at every terminal on the lazy graph as on the
+     eager CSR build — SPT's tree is a function of exactly those. *)
   let n_eq = if quick then 60 else 100 in
-  let eager_o, eager_secs, p_eq = nscale_outcome ~lazy_aux:false (alg "SPT") n_eq in
-  let lazy_o, lazy_secs, _ = nscale_outcome ~lazy_aux:true (alg "SPT") n_eq in
-  row "SPT eager" n_eq eager_secs eager_o p_eq;
-  row "SPT lazy" n_eq lazy_secs lazy_o p_eq;
-  if
-    not
-      (Schedule.equal eager_o.Planner.Outcome.schedule lazy_o.Planner.Outcome.schedule
-      && eager_o.Planner.Outcome.unreached = lazy_o.Planner.Outcome.unreached)
-  then begin
-    Printf.eprintf "nscale: lazy SPT diverged from the eager build at N=%d\n" n_eq;
+  let pre =
+    Solve_state.prologue None ~cap_per_node:(Some nscale_cap) ~span:"nscale.dts"
+      (nscale_problem n_eq)
+  in
+  let scan label build =
+    let t0 = Unix.gettimeofday () in
+    let fwd, root, terminals = build () in
+    let r = Tmedb_steiner.Dijkstra.run_view ~targets:terminals fwd ~src:root in
+    Printf.printf "%-24s %6d %9.2f s  build + targeted scan\n%!" label n_eq
+      (Unix.gettimeofday () -. t0);
+    ( root,
+      List.map
+        (fun t -> (t, r.Tmedb_steiner.Dijkstra.dist.(t), r.Tmedb_steiner.Dijkstra.pred.(t)))
+        terminals )
+  in
+  let eager =
+    scan "eager CSR" (fun () ->
+        let aux = Aux_graph.build pre.Solve_state.problem pre.Solve_state.dts in
+        ( Tmedb_steiner.Digraph.view aux.Aux_graph.graph,
+          aux.Aux_graph.source_vertex,
+          aux.Aux_graph.terminals ))
+  in
+  let lz =
+    scan "lazy" (fun () ->
+        let aux = Solve_state.lazy_graph pre in
+        (Aux_graph.Lazy.view aux, Aux_graph.Lazy.source_vertex aux, Aux_graph.Lazy.terminals aux))
+  in
+  if eager <> lz then begin
+    Printf.eprintf "nscale: the lazy scan diverged from the eager build at N=%d\n" n_eq;
     exit 1
   end;
-  Printf.printf "lazy == eager at N=%d: true\n%!" n_eq;
+  Printf.printf "lazy == eager at all %d terminals, N=%d: true\n%!" (List.length (snd eager))
+    n_eq;
   (* 2. The eager core for the wall-clock comparison: EEDCB on the
      fully materialised graph at N=100 (skipped in quick mode). *)
   let eager_core_secs =
     if quick then None
     else begin
-      let o, secs, p = nscale_outcome ~lazy_aux:false (alg "EEDCB") 100 in
+      let o, secs, p = nscale_outcome (alg "EEDCB") 100 in
       row "EEDCB eager (the wall)" 100 secs o p;
       Some secs
     end
@@ -436,7 +458,7 @@ let nscale ~quick () =
     List.fold_left
       (fun _ n ->
         let before = Tmedb_obs.snapshot () in
-        let o, secs, p = nscale_outcome ~lazy_aux:true (alg "SPT") n in
+        let o, secs, p = nscale_outcome (alg "SPT") n in
         let after = Tmedb_obs.snapshot () in
         row "SPT lazy" n secs o p;
         let materialized =
@@ -516,19 +538,17 @@ let pareto_bench ~quick () =
   let npoints = 10 in
   let grid = pareto_grid ~npoints horizon in
   let planner = alg "SPT" in
-  let run ~share ~lazy_aux =
+  let run ~share =
     let before = Tmedb_obs.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let r =
-      Pareto.sweep ?pool:!pool ~share ~lazy_aux ~planner ~deadlines:grid p
-    in
+    let r = Pareto.sweep ?pool:!pool ~share ~planner ~deadlines:grid p in
     let secs = Unix.gettimeofday () -. t0 in
     (r, secs, before, Tmedb_obs.snapshot ())
   in
-  let shared, shared_secs, sb, sa = run ~share:true ~lazy_aux:false in
-  let indep, indep_secs, ib, ia = run ~share:false ~lazy_aux:true in
+  let shared, shared_secs, sb, sa = run ~share:true in
+  let indep, indep_secs, ib, ia = run ~share:false in
   Printf.printf "%-34s %9.2f s\n" "shared solve state (10 points)" shared_secs;
-  Printf.printf "%-34s %9.2f s\n%!" "independent lazy solves" indep_secs;
+  Printf.printf "%-34s %9.2f s\n%!" "independent one-shot solves" indep_secs;
   if
     not
       (List.length shared.Pareto.points = List.length indep.Pareto.points
@@ -581,8 +601,7 @@ let pareto_bench ~quick () =
      whole grid under the shared state must cost less than 3 single
      solves. *)
   let t0 = Unix.gettimeofday () in
-  let ctx = Planner.Ctx.make ~lazy_aux:true () in
-  ignore (Planner.run ~ctx planner p);
+  ignore (Planner.run planner p);
   let single_secs = Unix.gettimeofday () -. t0 in
   Printf.printf "single solve %.2f s; %d-point shared grid %.2f s (%.2fx)\n%!" single_secs
     npoints shared_secs
@@ -596,7 +615,7 @@ let pareto_bench ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Parallel baseline: time each figure-sweep kernel with 1 domain and
    with the configured pool, check the results are bit-identical, and
-   write BENCH_1.json so later sessions have a perf trajectory. *)
+   write the next BENCH_N.json so the perf trajectory accumulates. *)
 
 let baseline_config =
   {
@@ -652,7 +671,7 @@ let baseline_kernels : (string * (Tmedb_prelude.Pool.t option -> float list)) li
          are the kernel's real payload. *)
       fun _pool ->
         let p = nscale_problem 1000 in
-        let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap ~lazy_aux:true () in
+        let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap () in
         let o = Planner.run ~ctx (alg "SPT") p in
         [
           Metrics.normalized_energy p o.Planner.Outcome.schedule;
@@ -700,9 +719,12 @@ let bench_files () =
   |> List.sort compare
 
 let next_bench_path () =
-  match List.rev (bench_files ()) with
-  | (n, prev) :: _ -> (Printf.sprintf "BENCH_%d.json" (n + 1), Some prev)
-  | [] -> ("BENCH_1.json", None)
+  let n, prev =
+    match List.rev (bench_files ()) with
+    | (n, prev) :: _ -> (n + 1, Some prev)
+    | [] -> (1, None)
+  in
+  (n, Printf.sprintf "BENCH_%d.json" n, prev)
 
 (* Counter deltas between two registry snapshots, as a JSON object of
    the counters the kernel actually moved. *)
@@ -718,7 +740,7 @@ let counter_deltas before after =
 
 let baseline () =
   let open Tmedb_prelude in
-  let path, prev = next_bench_path () in
+  let seq, path, prev = next_bench_path () in
   (* Always record per-kernel counter deltas in the baseline file,
      whether or not `--metrics` was given. *)
   Tmedb_obs.set_enabled true;
@@ -760,7 +782,11 @@ let baseline () =
   let doc =
     Json.Obj
       [
-        ("bench_pr", Json.Num 1.);
+        (* Stamped with the file's own sequence number and the runner,
+           so speedups can be read against real cores. *)
+        ("bench_pr", Json.Num (float_of_int seq));
+        ("cores", Json.Num (float_of_int (Domain.recommended_domain_count ())));
+        ("ocaml_version", Json.Str Sys.ocaml_version);
         ("jobs", Json.Num (float_of_int !jobs));
         ("deterministic", Json.Bool !deterministic);
         ("kernels", Json.List rows);
@@ -883,6 +909,9 @@ let regress () =
          pool.batches/tasks) depend on observed task timing, so they
          are reported but never gate. *)
       let pool_diag d = contains d.Tmedb_report.Diff.key "pool." in
+      (* The file's identity stamp differs between any two baselines
+         by construction: reported, never gated. *)
+      let stamp d = List.mem d.Tmedb_report.Diff.key [ "bench_pr"; "cores"; "ocaml_version" ] in
       (* A key present only in the new baseline is a kernel or counter
          the suite *learned* — report it, don't gate on it.  A key that
          *disappeared* still gates: losing a counter silently is how
@@ -890,6 +919,11 @@ let regress () =
       let added (d : Tmedb_report.Diff.delta) =
         d.Tmedb_report.Diff.a = None && d.Tmedb_report.Diff.b <> None
       in
+      let stamp_deltas, deltas = List.partition stamp deltas in
+      List.iter
+        (fun (d : Tmedb_report.Diff.delta) ->
+          Printf.printf "i stamp: %s changed (informational)\n" d.Tmedb_report.Diff.key)
+        stamp_deltas;
       let added_deltas, rest = List.partition added deltas in
       let timing_deltas, rest = List.partition timing rest in
       let pool_deltas, stable_deltas = List.partition pool_diag rest in

@@ -5,121 +5,87 @@ open Tmedb_steiner
 let c_runs = Tmedb_obs.Counter.make "eedcb.runs"
 let t_run = Tmedb_obs.Timer.make "eedcb.run"
 
-let node_of_terminal aux term =
-  match aux.Aux_graph.vertex.(term) with
-  | Aux_graph.Wait { node; _ } -> node
-  | Aux_graph.Level { node; _ } -> node
+(* The auxiliary graph as the Steiner tail sees it: both directions as
+   successor views, whatever the representation behind them. *)
+type graph = {
+  fwd : Digraph.view;
+  rev : Digraph.view;
+  root : int;
+  terminals : int list;
+  shape : string;  (* provenance detail of the "aux_graph" stage *)
+  edges : int;  (* the artifact's [aux_edges] *)
+  extract : Dst.tree -> Schedule.t;
+  describe : int -> Aux_graph.vertex;
+}
 
-(* Solve over a lazily expanded auxiliary graph — identical vertex
-   ids, edges and adjacency orders as the eager build (see
-   {!Aux_graph.Lazy}), so results are bit-identical; only the explored
-   frontier is ever materialised.  Shared between the per-solve lazy
-   path and the {!Solve_state} reuse path, which differ only in how
-   [aux] was created. *)
-let solve_lazy ~stage ~level aux =
-  let nv = Aux_graph.Lazy.num_vertices aux in
-  let root = Aux_graph.Lazy.source_vertex aux in
-  stage "aux_graph"
-    (Printf.sprintf "%d vertices, %d edge bound (lazy)" nv (Aux_graph.Lazy.edge_bound aux));
+(* A one-shot solve drains the whole universe, where a CSR scan beats
+   per-edge generation: build eagerly.  Over a shared solve state the
+   id layout and DCS marginals are already paid for, so expand lazily
+   from them.  Both expose the same ids and adjacency orders. *)
+let aux_graph (pre : Solve_state.prologue) =
+  match pre.Solve_state.state with
+  | None ->
+      let aux = Aux_graph.build pre.Solve_state.problem pre.Solve_state.dts in
+      let g = aux.Aux_graph.graph in
+      {
+        fwd = Digraph.view g;
+        rev = Digraph.view (Digraph.reverse g);
+        root = aux.Aux_graph.source_vertex;
+        terminals = aux.Aux_graph.terminals;
+        shape = Printf.sprintf "%d vertices, %d edges" (Digraph.n g) (Digraph.m g);
+        edges = Digraph.m g;
+        extract = Aux_graph.extract_schedule aux;
+        describe = Array.get aux.Aux_graph.vertex;
+      }
+  | Some _ ->
+      let aux = Tmedb_obs.Span.with_ "eedcb.lazy_graph" (fun () -> Solve_state.lazy_graph pre) in
+      let nv = Aux_graph.Lazy.num_vertices aux and bound = Aux_graph.Lazy.edge_bound aux in
+      {
+        fwd = Aux_graph.Lazy.view aux;
+        rev = Aux_graph.Lazy.rev_view aux;
+        root = Aux_graph.Lazy.source_vertex aux;
+        terminals = Aux_graph.Lazy.terminals aux;
+        shape = Printf.sprintf "%d vertices, %d edge bound (lazy)" nv bound;
+        edges = bound;
+        extract = Aux_graph.Lazy.extract_schedule aux;
+        describe = Aux_graph.Lazy.describe aux;
+      }
+
+let plan (ctx : Planner.Ctx.t) problem =
+  Tmedb_obs.Counter.incr c_runs;
+  let t0 = Tmedb_obs.Timer.start t_run in
+  Fun.protect ~finally:(fun () -> Tmedb_obs.Timer.stop t_run t0) @@ fun () ->
+  Tmedb_obs.Span.with_ "eedcb.run" @@ fun () ->
+  let stage name detail =
+    if Tmedb_report.Provenance.enabled () then
+      Tmedb_report.Provenance.emit (Tmedb_report.Provenance.Stage { stage = name; detail })
+  in
+  let pre =
+    Solve_state.prologue ctx.Planner.Ctx.solve_state ~cap_per_node:ctx.Planner.Ctx.cap_per_node
+      ~span:"eedcb.dts" problem
+  in
+  let problem = pre.Solve_state.problem and dts = pre.Solve_state.dts in
+  stage "dts" (Printf.sprintf "%d points" (Tmedb_tveg.Dts.total_points dts));
+  let aux = aux_graph pre in
+  stage "aux_graph" aux.shape;
   let outcome =
-    Dst.solve_views ~level ~fwd:(Aux_graph.Lazy.view aux)
-      ~rev:(Aux_graph.Lazy.rev_view aux) ~root ~terminals:(Aux_graph.Lazy.terminals aux)
-      ()
+    Dst.solve_views ~level:ctx.Planner.Ctx.steiner_level ~fwd:aux.fwd ~rev:aux.rev
+      ~root:aux.root ~terminals:aux.terminals ()
   in
   stage "dst"
     (Printf.sprintf "cost %.17g, %d uncovered" outcome.Dst.tree.Dst.cost
        (List.length outcome.Dst.uncovered));
   let pruned =
     Tmedb_obs.Span.with_ "eedcb.prune" (fun () ->
-        Dst.prune_within ~nv ~root outcome.Dst.tree)
+        Dst.prune_within ~nv:aux.fwd.Digraph.nv ~root:aux.root outcome.Dst.tree)
   in
   stage "prune" (Printf.sprintf "cost %.17g" pruned.Dst.cost);
-  let schedule = Aux_graph.Lazy.extract_schedule aux pruned in
-  let node_of term =
-    match Aux_graph.Lazy.describe aux term with
-    | Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
-  in
-  (outcome, pruned, schedule, node_of, nv, Aux_graph.Lazy.edge_bound aux)
-
-let plan (ctx : Planner.Ctx.t) problem =
-  let level = ctx.Planner.Ctx.steiner_level in
-  let cap_per_node = ctx.Planner.Ctx.cap_per_node in
-  Tmedb_obs.Counter.incr c_runs;
-  let t0 = Tmedb_obs.Timer.start t_run in
-  Fun.protect ~finally:(fun () -> Tmedb_obs.Timer.stop t_run t0) @@ fun () ->
-  Tmedb_obs.Span.with_ "eedcb.run" @@ fun () ->
-  let deadline = problem.Problem.deadline in
-  (* The shared state is keyed by the unrestricted graph value:
-     validate against the problem as handed to us, before clipping. *)
-  (match ctx.Planner.Ctx.solve_state with
-  | Some st -> Solve_state.check_compatible st problem ~cap_per_node
-  | None -> ());
-  (* Contacts after the deadline can never matter: clip them away so
-     the DTS closure and the DCS queries walk shorter link lists. *)
-  let problem =
-    let open Tmedb_tveg in
-    let span = Tveg.span problem.Problem.graph in
-    let sub = Tmedb_prelude.Interval.make ~lo:span.Tmedb_prelude.Interval.lo
-        ~hi:problem.Problem.deadline in
-    { problem with Problem.graph = Tveg.restrict problem.Problem.graph ~span:sub }
-  in
-  let stage name detail =
-    if Tmedb_report.Provenance.enabled () then
-      Tmedb_report.Provenance.emit (Tmedb_report.Provenance.Stage { stage = name; detail })
-  in
-  let dts =
-    Tmedb_obs.Span.with_ "eedcb.dts" (fun () ->
-        match ctx.Planner.Ctx.solve_state with
-        | Some st -> Solve_state.dts_at st ~deadline
-        | None -> Problem.dts ?cap_per_node problem)
-  in
-  stage "dts" (Printf.sprintf "%d points" (Tmedb_tveg.Dts.total_points dts));
-  let outcome, pruned, schedule, node_of, aux_vertices, aux_edges =
-    match ctx.Planner.Ctx.solve_state with
-    | Some st ->
-        let aux =
-          Tmedb_obs.Span.with_ "eedcb.aux_lazy" (fun () ->
-              let layout = Solve_state.layout st dts in
-              Aux_graph.Lazy.create_with
-                ~marginals:(Solve_state.marginals st ~deadline)
-                ~base:layout.Solve_state.base
-                ~level_off:layout.Solve_state.level_off
-                ~edge_bound:layout.Solve_state.edge_bound problem dts)
-        in
-        solve_lazy ~stage ~level aux
-    | None when ctx.Planner.Ctx.lazy_aux ->
-        let aux =
-          Tmedb_obs.Span.with_ "eedcb.aux_lazy" (fun () -> Aux_graph.Lazy.create problem dts)
-        in
-        solve_lazy ~stage ~level aux
-    | None -> begin
-      let aux = Aux_graph.build problem dts in
-      stage "aux_graph"
-        (Printf.sprintf "%d vertices, %d edges" (Digraph.n aux.Aux_graph.graph)
-           (Digraph.m aux.Aux_graph.graph));
-      let outcome =
-        Dst.solve ~level aux.Aux_graph.graph ~root:aux.Aux_graph.source_vertex
-          ~terminals:aux.Aux_graph.terminals
-      in
-      stage "dst"
-        (Printf.sprintf "cost %.17g, %d uncovered" outcome.Dst.tree.Dst.cost
-           (List.length outcome.Dst.uncovered));
-      let pruned =
-        Tmedb_obs.Span.with_ "eedcb.prune" (fun () ->
-            Dst.prune aux.Aux_graph.graph ~root:aux.Aux_graph.source_vertex outcome.Dst.tree)
-      in
-      stage "prune" (Printf.sprintf "cost %.17g" pruned.Dst.cost);
-      let schedule = Aux_graph.extract_schedule aux pruned in
-      ( outcome,
-        pruned,
-        schedule,
-        node_of_terminal aux,
-        Digraph.n aux.Aux_graph.graph,
-        Digraph.m aux.Aux_graph.graph )
-    end
-  in
+  let schedule = aux.extract pruned in
   let report =
     Tmedb_obs.Span.with_ "eedcb.feasibility" (fun () -> Feasibility.check problem schedule)
+  in
+  let node_of term =
+    match aux.describe term with Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
   in
   Planner.Outcome.make ~schedule ~report
     ~unreached:(List.map node_of outcome.Dst.uncovered)
@@ -128,8 +94,8 @@ let plan (ctx : Planner.Ctx.t) problem =
         Planner.Outcome.Steiner_tree
           {
             tree = pruned;
-            aux_vertices;
-            aux_edges;
+            aux_vertices = aux.fwd.Digraph.nv;
+            aux_edges = aux.edges;
             dts_points = Tmedb_tveg.Dts.total_points dts;
           };
       ]

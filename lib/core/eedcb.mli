@@ -16,7 +16,12 @@ val info : Planner.info
 
 val plan : Planner.Ctx.t -> Problem.t -> Planner.Outcome.t
 (** The pipeline under the context's [steiner_level] (the paper's
-    ε = 1/i knob) and [cap_per_node]. *)
+    ε = 1/i knob) and [cap_per_node].  A one-shot solve drains the
+    whole auxiliary graph, so it builds it eagerly
+    ({!Aux_graph.build}); with [ctx.solve_state] the graph is expanded
+    lazily from the state's layout ({!Solve_state.lazy_graph}).  Both
+    expose the same ids and adjacency orders, so the outcome is the
+    same either way. *)
 
 val planner : Planner.t
 (** {!info} and {!plan}, packaged for {!Registry}. *)

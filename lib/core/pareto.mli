@@ -71,7 +71,6 @@ val sweep :
   ?cap_per_node:int ->
   ?seed:int ->
   ?share:bool ->
-  ?lazy_aux:bool ->
   planner:Planner.t ->
   deadlines:float list ->
   Problem.t ->
@@ -82,8 +81,7 @@ val sweep :
     [{ problem with deadline }]).  [share] (default [true]) builds one
     {!Solve_state} at the largest deadline and threads it through
     every point's context; [share:false] plans each point one-shot —
-    same results, k× the deadline-independent work — with [lazy_aux]
-    (default [false]) selecting the lazy auxiliary graph on that path.
+    same results, k× the deadline-independent work.
     [seed] (default 42) feeds {!Experiment.point_rng}.
     @raise Invalid_argument on an invalid grid or one outside the
     graph span. *)

@@ -68,21 +68,15 @@ module Ctx : sig
     warm : Warm.t option;
         (** Warm-start store for the FR allocation ([None]: every
             allocation solves cold, the goldens' path). *)
-    lazy_aux : bool;
-        (** When true, (FR-)EEDCB expands the auxiliary graph lazily
-            ({!Aux_graph.Lazy}) instead of materialising it — same
-            results bit for bit, only the explored frontier is built
-            (default false, the goldens' path). *)
     solve_state : Solve_state.t option;
         (** Shared deadline-independent state for planners that
             support it (EEDCB, SPT): the DTS view, DCS marginals and
             auxiliary-graph layout come from the state instead of
             being rebuilt per solve.  The state must be compatible
             with the problem being planned
-            ({!Solve_state.check_compatible}); implies the lazy
-            auxiliary graph on the planners that honour it.  [None]
-            (the default): the one-shot path, byte-identical to
-            before the state existed. *)
+            ({!Solve_state.check_compatible}).  [None] (the
+            default): the one-shot path.  Each planner fixes its own
+            auxiliary-graph representation; see {!Eedcb} and {!Spt}. *)
   }
 
   val make :
@@ -92,7 +86,6 @@ module Ctx : sig
     ?pool:Pool.t ->
     ?provenance:bool ->
     ?warm:Warm.t ->
-    ?lazy_aux:bool ->
     ?solve_state:Solve_state.t ->
     unit ->
     t

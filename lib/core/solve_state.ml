@@ -152,3 +152,33 @@ let layout t dts =
       pts
   done;
   { base; level_off; edge_bound = !edge_bound }
+
+type prologue = { problem : Problem.t; dts : Dts.t; state : t option }
+
+let prologue state ~cap_per_node ~span (problem : Problem.t) =
+  (* The shared state is keyed by the unrestricted graph value:
+     validate against the problem as handed in, before clipping. *)
+  Option.iter (fun st -> check_compatible st problem ~cap_per_node) state;
+  (* Contacts after the deadline can never matter: clip them away so
+     the DTS closure and the DCS queries walk shorter link lists. *)
+  let deadline = problem.Problem.deadline in
+  let g = problem.Problem.graph in
+  let lo = (Tveg.span g).Tmedb_prelude.Interval.lo in
+  let clip = Tmedb_prelude.Interval.make ~lo ~hi:deadline in
+  let problem = { problem with Problem.graph = Tveg.restrict g ~span:clip } in
+  let dts =
+    Tmedb_obs.Span.with_ span (fun () ->
+        match state with
+        | Some st -> dts_at st ~deadline
+        | None -> Problem.dts ?cap_per_node problem)
+  in
+  { problem; dts; state }
+
+let lazy_graph { problem; dts; state } =
+  match state with
+  | None -> Aux_graph.Lazy.create problem dts
+  | Some st ->
+      let l = layout st dts in
+      Aux_graph.Lazy.create_with
+        ~marginals:(marginals st ~deadline:problem.Problem.deadline)
+        ~base:l.base ~level_off:l.level_off ~edge_bound:l.edge_bound problem dts

@@ -20,6 +20,9 @@
       offset arithmetic over cached per-block level counts, without
       re-enumerating any DCS block.
 
+    Over a state, a planner's auxiliary graph is always the lazy one,
+    created from the deadline's layout ({!lazy_graph}).
+
     A state is immutable once created, so concurrent per-deadline
     solves may share it freely (the Pareto sweep fans points out over
     the pool).
@@ -93,3 +96,29 @@ val layout : t -> Tmedb_tveg.Dts.t -> layout
 (** The deadline's auxiliary-graph layout, from the DTS view returned
     by {!dts_at} — pure offset arithmetic over the cached per-block
     level counts. *)
+
+(** {2 Per-solve prologue}
+
+    The steps every planner that honours a solve state ({!Eedcb},
+    {!Spt}) runs before touching the auxiliary graph. *)
+
+type prologue = {
+  problem : Problem.t;
+      (** The instance with its graph clipped to
+          [\[span.lo, deadline\]]. *)
+  dts : Tmedb_tveg.Dts.t;  (** The deadline's DTS. *)
+  state : t option;  (** The shared state the DTS came from, if any. *)
+}
+
+val prologue : t option -> cap_per_node:int option -> span:string -> Problem.t -> prologue
+(** Validate the problem against the state ({!check_compatible}),
+    clip its graph to the deadline, and take the DTS from the state
+    ({!dts_at}) or, without one, from [Problem.dts ?cap_per_node].
+    The DTS step runs inside a span named [span].
+    @raise Invalid_argument when the state is incompatible. *)
+
+val lazy_graph : prologue -> Aux_graph.Lazy.t
+(** The lazy auxiliary graph of the prologue's instance: from the
+    state's {!layout} and {!marginals} when there is a state, by
+    {!Aux_graph.Lazy.create}'s counting pass otherwise.  Vertex ids,
+    edges and adjacency orders are the same either way. *)

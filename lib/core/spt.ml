@@ -5,9 +5,9 @@ open Tmedb_steiner
    Energy-wise this is EEDCB at recursion level 0 — each node is
    reached by its individually cheapest chain, with no Steiner sharing
    beyond what the paths overlap on — but the whole plan costs a
-   single scan.  On the lazy auxiliary graph that scan only expands
-   the frontier below the last terminal's settling distance, which is
-   what makes N in the thousands tractable (`bench nscale`). *)
+   single scan.  The graph is always the lazy one: the scan only
+   expands the frontier below the last terminal's settling distance,
+   which is what makes N in the thousands tractable (`bench nscale`). *)
 
 let c_runs = Tmedb_obs.Counter.make "spt.runs"
 let t_run = Tmedb_obs.Timer.make "spt.run"
@@ -17,64 +17,14 @@ let plan (ctx : Planner.Ctx.t) problem =
   let t0 = Tmedb_obs.Timer.start t_run in
   Fun.protect ~finally:(fun () -> Tmedb_obs.Timer.stop t_run t0) @@ fun () ->
   Tmedb_obs.Span.with_ "spt.run" @@ fun () ->
-  let deadline = problem.Problem.deadline in
-  (* The shared state is keyed by the unrestricted graph value:
-     validate against the problem as handed to us, before clipping. *)
-  (match ctx.Planner.Ctx.solve_state with
-  | Some st ->
-      Solve_state.check_compatible st problem ~cap_per_node:ctx.Planner.Ctx.cap_per_node
-  | None -> ());
-  let problem =
-    let open Tmedb_tveg in
-    let span = Tveg.span problem.Problem.graph in
-    let sub =
-      Tmedb_prelude.Interval.make ~lo:span.Tmedb_prelude.Interval.lo
-        ~hi:problem.Problem.deadline
-    in
-    { problem with Problem.graph = Tveg.restrict problem.Problem.graph ~span:sub }
+  let pre =
+    Solve_state.prologue ctx.Planner.Ctx.solve_state ~cap_per_node:ctx.Planner.Ctx.cap_per_node
+      ~span:"spt.dts" problem
   in
-  let dts =
-    Tmedb_obs.Span.with_ "spt.dts" (fun () ->
-        match ctx.Planner.Ctx.solve_state with
-        | Some st -> Solve_state.dts_at st ~deadline
-        | None -> Problem.dts ?cap_per_node:ctx.Planner.Ctx.cap_per_node problem)
-  in
-  let lazy_views aux =
-    ( Aux_graph.Lazy.view aux,
-      Aux_graph.Lazy.source_vertex aux,
-      Aux_graph.Lazy.terminals aux,
-      Aux_graph.Lazy.num_vertices aux,
-      Aux_graph.Lazy.edge_bound aux,
-      Aux_graph.Lazy.extract_schedule aux,
-      Aux_graph.Lazy.describe aux )
-  in
-  (* Both representations expose the same view interface; everything
-     below this point is representation-blind. *)
-  let fwd, root, terminals, aux_vertices, aux_edges, extract, describe =
-    match ctx.Planner.Ctx.solve_state with
-    | Some st ->
-        lazy_views
-          (Tmedb_obs.Span.with_ "spt.aux_lazy" (fun () ->
-               let layout = Solve_state.layout st dts in
-               Aux_graph.Lazy.create_with
-                 ~marginals:(Solve_state.marginals st ~deadline)
-                 ~base:layout.Solve_state.base
-                 ~level_off:layout.Solve_state.level_off
-                 ~edge_bound:layout.Solve_state.edge_bound problem dts))
-    | None when ctx.Planner.Ctx.lazy_aux ->
-        lazy_views
-          (Tmedb_obs.Span.with_ "spt.aux_lazy" (fun () -> Aux_graph.Lazy.create problem dts))
-    | None -> begin
-      let aux = Tmedb_obs.Span.with_ "spt.aux" (fun () -> Aux_graph.build problem dts) in
-      ( Digraph.view aux.Aux_graph.graph,
-        aux.Aux_graph.source_vertex,
-        aux.Aux_graph.terminals,
-        Digraph.n aux.Aux_graph.graph,
-        Digraph.m aux.Aux_graph.graph,
-        Aux_graph.extract_schedule aux,
-        fun id -> aux.Aux_graph.vertex.(id) )
-    end
-  in
+  let problem = pre.Solve_state.problem and dts = pre.Solve_state.dts in
+  let aux = Tmedb_obs.Span.with_ "spt.lazy_graph" (fun () -> Solve_state.lazy_graph pre) in
+  let fwd = Aux_graph.Lazy.view aux in
+  let root = Aux_graph.Lazy.source_vertex aux and terminals = Aux_graph.Lazy.terminals aux in
   let res =
     Tmedb_obs.Span.with_ "spt.dijkstra" (fun () ->
         Dijkstra.run_view ~targets:terminals fwd ~src:root)
@@ -85,7 +35,7 @@ let plan (ctx : Planner.Ctx.t) problem =
   (* Union of predecessor paths, walking each chain only down to the
      first vertex already in the tree.  Edges are keyed (u, v) and
      listed in key order, so the tree is independent of walk order. *)
-  let in_tree = Tmedb_prelude.Bitset.create aux_vertices in
+  let in_tree = Tmedb_prelude.Bitset.create (Aux_graph.Lazy.num_vertices aux) in
   Tmedb_prelude.Bitset.set in_tree root;
   let edge_tbl = Hashtbl.create 64 in
   List.iter
@@ -110,12 +60,12 @@ let plan (ctx : Planner.Ctx.t) problem =
            if c <> 0 then c else Int.compare v1 v2)
   in
   let tree = { Dst.edges; cost = Dst.tree_cost edges; covered = List.sort Int.compare reached } in
-  let schedule = extract tree in
+  let schedule = Aux_graph.Lazy.extract_schedule aux tree in
   let report =
     Tmedb_obs.Span.with_ "spt.feasibility" (fun () -> Feasibility.check problem schedule)
   in
   let node_of term =
-    match describe term with
+    match Aux_graph.Lazy.describe aux term with
     | Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
   in
   Planner.Outcome.make ~schedule ~report
@@ -123,7 +73,12 @@ let plan (ctx : Planner.Ctx.t) problem =
     ~artifacts:
       [
         Planner.Outcome.Steiner_tree
-          { tree; aux_vertices; aux_edges; dts_points = Tmedb_tveg.Dts.total_points dts };
+          {
+            tree;
+            aux_vertices = Aux_graph.Lazy.num_vertices aux;
+            aux_edges = Aux_graph.Lazy.edge_bound aux;
+            dts_points = Tmedb_tveg.Dts.total_points dts;
+          };
       ]
     ()
 

@@ -59,18 +59,16 @@ type terminal_maps = {
   next : int array array;  (* next hop from v toward terminal ti *)
 }
 
-(* [targets] (the candidate intermediates) bounds each per-terminal
-   Dijkstra: only candidate rows of the maps are ever read, so the scan
-   can stop once every candidate is settled.  [rev] is the reversed
-   graph as a view, so a lazily generated reverse adjacency works. *)
-let build_terminal_maps ?targets ~rev terminals =
+(* [rev] is the reversed graph as a view, so a lazily generated reverse
+   adjacency works. *)
+let build_terminal_maps ~rev terminals =
   let tm = Tmedb_obs.Timer.start t_terminal_maps in
   let ids = Array.of_list terminals in
   let dist = Array.make (Array.length ids) [||] in
   let next = Array.make (Array.length ids) [||] in
   Array.iteri
     (fun ti term ->
-      let r = Dijkstra.run_view ?targets rev ~src:term in
+      let r = Dijkstra.run_view rev ~src:term in
       dist.(ti) <- r.Dijkstra.dist;
       next.(ti) <- r.Dijkstra.pred)
     ids;
@@ -122,16 +120,14 @@ let a1_candidate fwd maps ~need ~v ~remaining =
    memory traffic). *)
 type terminal_table = { term_dist : float array array; term_id : int array array }
 
-(* Fast level-2 scan: for every candidate intermediate vertex u and
-   every count cnt <= need, the density of [path tree->u] + [A_1(cnt,
-   u)] using plain distance sums; returns the best (u, cnt). *)
-let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
+(* Fast level-2 scan: for every intermediate vertex u and every count
+   cnt <= need, the density of [path tree->u] + [A_1(cnt, u)] using
+   plain distance sums; returns the best (u, cnt). *)
+let scan_level2 ~dist_v ~remaining ~need ~table =
   Tmedb_obs.Counter.incr c_level2_scans;
   let best_density = ref Float.infinity in
   let best = ref None in
-  let ncand = Array.length candidates in
-  for c = 0 to ncand - 1 do
-    let u = candidates.(c) in
+  for u = 0 to Array.length dist_v - 1 do
     let du = dist_v.(u) in
     if Float.is_finite du then begin
       let dists = table.term_dist.(u) and ids = table.term_id.(u) in
@@ -166,7 +162,7 @@ let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
    partial tree (multi-source Dijkstra), not only to the call root —
    a strict improvement over connecting every pick at [v] since merged
    path segments are paid once and inform later picks. *)
-let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~rounds =
+let rec build_candidate fwd maps ~table ~level ~need ~v ~remaining ~rounds =
   if level <= 1 then a1_candidate fwd maps ~need ~v ~remaining
   else begin
     let remaining = Array.copy remaining in
@@ -177,16 +173,13 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
     let still_needed = ref need in
     let progress = ref true in
     (* Distances from the growing tree, warm-restarted as members are
-       added (distances only decrease).  Only candidate vertices are
-       ever read from this result (the scans and the connect walk), so
-       the relaxation may stop once all candidates are settled. *)
-    let targets = Array.to_list candidates in
-    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] ~targets in
+       added (distances only decrease). *)
+    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] in
     while !still_needed > 0 && !progress do
       let dist_v = tree_dist.Dijkstra.dist and pred_v = tree_dist.Dijkstra.pred in
       let pick =
         if level = 2 then begin
-          match scan_level2 ~candidates ~dist_v ~remaining ~need:!still_needed ~table with
+          match scan_level2 ~dist_v ~remaining ~need:!still_needed ~table with
           | None -> None
           | Some (_, u, cnt) -> (
               match a1_candidate fwd maps ~need:cnt ~v:u ~remaining with
@@ -196,25 +189,25 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
         else begin
           (* Exhaustive recursive scan, only for small instances. *)
           let best = ref None in
-          Array.iter
-            (fun u ->
-              if Float.is_finite dist_v.(u) then
+          Array.iteri
+            (fun u du ->
+              if Float.is_finite du then
               for cnt = 1 to !still_needed do
                 match
-                  build_candidate fwd maps ~candidates ~table ~level:(level - 1) ~need:cnt ~v:u
+                  build_candidate fwd maps ~table ~level:(level - 1) ~need:cnt ~v:u
                     ~remaining ~rounds
                 with
                 | None -> ()
                 | Some sub ->
                     let density =
-                      (dist_v.(u) +. sub.cand_cost) /. float_of_int (List.length sub.cand_terms)
+                      (du +. sub.cand_cost) /. float_of_int (List.length sub.cand_terms)
                     in
                     let better =
                       match !best with Some (d, _, _) -> density < d | None -> true
                     in
                     if better then best := Some (density, u, sub)
               done)
-            candidates;
+            dist_v;
           match !best with None -> None | Some (_, u, sub) -> Some (u, sub)
         end
       in
@@ -254,7 +247,7 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
           in
           note_edges (connect u []);
           note_edges sub.cand_edges;
-          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh ~targets;
+          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh;
           List.iter
             (fun ti ->
               if remaining.(ti) then begin
@@ -268,7 +261,7 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
     else Some { cand_edges = Edge_set.to_list set; cand_cost = Edge_set.cost set; cand_terms = !covered }
   end
 
-let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
+let solve_body ~level ~rounds ~fwd ~rev ~root ~terminals =
   if level < 1 then invalid_arg "Dst.solve: level < 1";
   let nv = fwd.Digraph.nv in
   if root < 0 || root >= nv then invalid_arg "Dst.solve: root out of range";
@@ -276,38 +269,26 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
     (fun t -> if t < 0 || t >= nv then invalid_arg "Dst.solve: terminal out of range")
     terminals;
   let terminals = List.filter (fun t -> t <> root) (List.sort_uniq Int.compare terminals) in
-  let candidates =
-    match candidates with
-    | None -> Array.init nv (fun v -> v)
-    | Some cs ->
-        List.iter
-          (fun c -> if c < 0 || c >= nv then invalid_arg "Dst.solve: candidate out of range")
-          cs;
-        (* The root and the terminals must stay eligible. *)
-        Array.of_list (List.sort_uniq Int.compare ((root :: terminals) @ cs))
-  in
-  let maps = build_terminal_maps ~targets:(Array.to_list candidates) ~rev terminals in
+  let maps = build_terminal_maps ~rev terminals in
   let k = Array.length maps.ids in
   (* For each vertex, terminal distances ascending: the A_1 lookup
      table used by the level-2 scan. *)
   let table =
-    (* Only candidate vertices are scanned, so only they need rows. *)
     let term_dist = Array.make nv [||] and term_id = Array.make nv [||] in
     let scratch = Array.init k (fun ti -> (0., ti)) in
-    Array.iter
-      (fun v ->
-        for ti = 0 to k - 1 do
-          scratch.(ti) <- (maps.dist.(ti).(v), ti)
-        done;
-        Array.sort compare scratch;
-        term_dist.(v) <- Array.map fst scratch;
-        term_id.(v) <- Array.map snd scratch)
-      candidates;
+    for v = 0 to nv - 1 do
+      for ti = 0 to k - 1 do
+        scratch.(ti) <- (maps.dist.(ti).(v), ti)
+      done;
+      Array.sort compare scratch;
+      term_dist.(v) <- Array.map fst scratch;
+      term_id.(v) <- Array.map snd scratch
+    done;
     { term_dist; term_id }
   in
   let remaining = Array.make k true in
   let result =
-    build_candidate fwd maps ~candidates ~table ~level ~need:k ~v:root ~remaining ~rounds
+    build_candidate fwd maps ~table ~level ~need:k ~v:root ~remaining ~rounds
   in
   let covered_tis = match result with None -> [] | Some c -> c.cand_terms in
   let covered = List.sort Int.compare (List.map (fun ti -> maps.ids.(ti)) covered_tis) in
@@ -328,7 +309,7 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
   in
   { tree = { edges; cost; covered }; uncovered }
 
-let solve_views ?(level = 2) ?candidates ~fwd ~rev ~root ~terminals () =
+let solve_views ?(level = 2) ~fwd ~rev ~root ~terminals () =
   Tmedb_obs.Counter.incr c_solves;
   Tmedb_obs.Span.with_ "dst.solve"
     ~args:
@@ -344,13 +325,13 @@ let solve_views ?(level = 2) ?candidates ~fwd ~rev ~root ~terminals () =
       let rounds = ref 0 in
       let outcome =
         Tmedb_obs.Timer.time t_solve (fun () ->
-            solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals)
+            solve_body ~level ~rounds ~fwd ~rev ~root ~terminals)
       in
       Tmedb_obs.Histogram.observe h_expansion_rounds !rounds;
       outcome)
 
-let solve ?level ?candidates g ~root ~terminals =
-  solve_views ?level ?candidates ~fwd:(Digraph.view g)
+let solve ?level g ~root ~terminals =
+  solve_views ?level ~fwd:(Digraph.view g)
     ~rev:(Digraph.view (Digraph.reverse g)) ~root ~terminals ()
 
 let prune_within ~nv ~root tree =

@@ -25,23 +25,14 @@ type outcome = {
   uncovered : int list;  (** Terminals unreachable from the root. *)
 }
 
-val solve :
-  ?level:int -> ?candidates:int list -> Digraph.t -> root:int -> terminals:int list -> outcome
-(** @raise Invalid_argument on [level < 1], out-of-range root,
-    terminals or candidates.  Terminals equal to the root are
-    considered covered for free.
-
-    [candidates] restricts the intermediate vertices the greedy rounds
-    may branch from (the root and terminals are always kept eligible).
-    Paths realised by each pick still run through every vertex; the
-    restriction only prunes the density scan.  The TMEDB auxiliary
-    graph passes its wait vertices here — level-chain vertices are
-    dominated as branch points by the wait vertex that precedes
-    them — cutting the scan cost several-fold. *)
+val solve : ?level:int -> Digraph.t -> root:int -> terminals:int list -> outcome
+(** @raise Invalid_argument on [level < 1], out-of-range root or
+    terminals.  Terminals equal to the root are considered covered
+    for free.  Every vertex is a candidate branch point of the greedy
+    rounds. *)
 
 val solve_views :
   ?level:int ->
-  ?candidates:int list ->
   fwd:Digraph.view ->
   rev:Digraph.view ->
   root:int ->

@@ -51,7 +51,8 @@ let parse_header line =
 
 let parse_line lineno line =
   try
-    Scanf.sscanf line "%d,%d,%f,%f,%f" (fun a b lo hi dist ->
+    (* [%!] rejects trailing fields and junk instead of dropping them. *)
+    Scanf.sscanf line "%d,%d,%f,%f,%f%!" (fun a b lo hi dist ->
         Ok (Contact.make ~a ~b ~iv:(Interval.make ~lo ~hi) ~dist))
   with
   | Scanf.Scan_failure msg | Failure msg | Invalid_argument msg ->

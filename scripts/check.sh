@@ -24,11 +24,22 @@ dune exec bin/tmedb_lint.exe -- --typed lib bin bench test
 m=$(mktemp)
 trap 'rm -f "$m"' EXIT
 out=$(dune exec bench/main.exe -- quick --jobs 2 --metrics "$m")
-# quick mode also writes the next BENCH_N.json baseline; this is a
-# check, not a publish, so drop it (committed baselines are produced
-# deliberately via `bench baseline`).
+# quick mode also writes the next BENCH_N.json baseline; its bench_pr
+# stamp must be the N of its own file name.  This is a check, not a
+# publish, so drop the file afterwards (committed baselines are
+# produced deliberately via `bench baseline`).
 bpath=$(printf '%s\n' "$out" | sed -n 's/^\(BENCH_[0-9]*\.json\) ok.*/\1/p')
-if [ -n "$bpath" ]; then rm -f "$bpath"; fi
+if [ -z "$bpath" ]; then
+  echo "check.sh: quick run did not report the BENCH_N.json it wrote" >&2
+  exit 1
+fi
+bseq=${bpath#BENCH_}; bseq=${bseq%.json}
+if ! grep -q "\"bench_pr\": $bseq," "$bpath"; then
+  rm -f "$bpath"
+  echo "check.sh: $bpath does not carry \"bench_pr\": $bseq" >&2
+  exit 1
+fi
+rm -f "$bpath"
 for key in '"schema": "tmedb.metrics/1"' '"counters"' '"timers"' \
            '"aux_graph.vertices"' '"dst.solves"' '"simulate.trials"' '"pool.tasks"'; do
   grep -q "$key" "$m" || {
@@ -77,10 +88,10 @@ for f in profile.json profile.folded; do
   }
 done
 
-# N-scaling smoke: the lazy aux-graph path must keep its >=10x
-# materialization cut and its bit-for-bit agreement with the eager
-# build (bench exits non-zero on either), and the frontier counters
-# must reach the telemetry file.
+# N-scaling smoke: SPT's lazy aux graph must keep its >=10x
+# materialization cut, and a targeted scan on it must agree with the
+# eager CSR build at every terminal (bench exits non-zero on either);
+# the frontier counters must reach the telemetry file.
 m2=$(mktemp)
 trap 'rm -f "$m" "$m2" "$ptrace" "$l1" "$l2"; rm -rf "$pdir" "$pdir2"' EXIT
 dune exec bench/main.exe -- nscale --quick --metrics "$m2" >/dev/null

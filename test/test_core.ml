@@ -340,24 +340,24 @@ let test_aux_graph_deadline_blocks_late_levels () =
 let check_lazy_matches_eager p =
   let dts = Problem.dts p in
   let aux = Aux_graph.build p dts in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
+  let lz = Aux_graph.Lazy.create p dts in
   let nv = Tmedb_steiner.Digraph.n aux.Aux_graph.graph in
-  check_int "vertex universe" nv (Aux_graph.Lazy.num_vertices lazy_aux);
+  check_int "vertex universe" nv (Aux_graph.Lazy.num_vertices lz);
   check_int "wait vertices" (Aux_graph.num_wait_vertices aux)
-    (Aux_graph.Lazy.num_wait_vertices lazy_aux);
+    (Aux_graph.Lazy.num_wait_vertices lz);
   check_int "source vertex" aux.Aux_graph.source_vertex
-    (Aux_graph.Lazy.source_vertex lazy_aux);
+    (Aux_graph.Lazy.source_vertex lz);
   Alcotest.(check (list int))
     "terminals" aux.Aux_graph.terminals
-    (Aux_graph.Lazy.terminals lazy_aux);
+    (Aux_graph.Lazy.terminals lz);
   let succs iter u =
     let acc = ref [] in
     iter u (fun v w -> acc := (v, w) :: !acc);
     List.rev !acc
   in
   let pair = Alcotest.(list (pair int (float 0.))) in
-  let fwd = Aux_graph.Lazy.view lazy_aux in
-  let rev = Aux_graph.Lazy.rev_view lazy_aux in
+  let fwd = Aux_graph.Lazy.view lz in
+  let rev = Aux_graph.Lazy.rev_view lz in
   let rev_eager = Tmedb_steiner.Digraph.reverse aux.Aux_graph.graph in
   for u = 0 to nv - 1 do
     Alcotest.check pair
@@ -369,7 +369,7 @@ let check_lazy_matches_eager p =
       (succs (Tmedb_steiner.Digraph.iter_succ rev_eager) u)
       (succs rev.Tmedb_steiner.Digraph.iter_succ u);
     let same =
-      match (aux.Aux_graph.vertex.(u), Aux_graph.Lazy.describe lazy_aux u) with
+      match (aux.Aux_graph.vertex.(u), Aux_graph.Lazy.describe lz u) with
       | Aux_graph.Wait a, Aux_graph.Wait b ->
           a.node = b.node && a.point_idx = b.point_idx && Float.equal a.time b.time
       | Aux_graph.Level a, Aux_graph.Level b ->
@@ -381,12 +381,12 @@ let check_lazy_matches_eager p =
     check_bool (Printf.sprintf "describe %d" u) true same
   done;
   (* Full enumeration touched everything: the counters saturate. *)
-  check_int "all nodes materialized" nv (Aux_graph.Lazy.nodes_materialized lazy_aux);
+  check_int "all nodes materialized" nv (Aux_graph.Lazy.nodes_materialized lz);
   check_int "edge universe counted twice"
     (2 * Tmedb_steiner.Digraph.m aux.Aux_graph.graph)
-    (Aux_graph.Lazy.edges_materialized lazy_aux)
+    (Aux_graph.Lazy.edges_materialized lz)
 
-let test_lazy_aux_equivalence () =
+let test_lazy_equivalence () =
   check_lazy_matches_eager (quickstart_problem ());
   check_lazy_matches_eager (quickstart_problem ~deadline:40. ());
   check_lazy_matches_eager (quickstart_problem ~channel:`Rayleigh ());
@@ -397,22 +397,22 @@ let test_lazy_aux_equivalence () =
   check_lazy_matches_eager
     (Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:18. ())
 
-let test_lazy_aux_frontier_is_partial () =
+let test_lazy_frontier_is_partial () =
   (* A targeted Dijkstra on the lazy view must not touch the whole
      universe (that is the whole point). *)
   let p = quickstart_problem () in
   let dts = Problem.dts p in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
-  let fwd = Aux_graph.Lazy.view lazy_aux in
-  let src = Aux_graph.Lazy.source_vertex lazy_aux in
-  (match Aux_graph.Lazy.terminals lazy_aux with
+  let lz = Aux_graph.Lazy.create p dts in
+  let fwd = Aux_graph.Lazy.view lz in
+  let src = Aux_graph.Lazy.source_vertex lz in
+  (match Aux_graph.Lazy.terminals lz with
   | [] -> Alcotest.fail "expected terminals"
   | t :: _ ->
       ignore (Tmedb_steiner.Dijkstra.run_view ~targets:[ t ] fwd ~src));
-  let touched = Aux_graph.Lazy.nodes_materialized lazy_aux in
+  let touched = Aux_graph.Lazy.nodes_materialized lz in
   check_bool "some frontier" true (touched > 0);
   check_bool "not the whole universe" true
-    (touched < Aux_graph.Lazy.num_vertices lazy_aux)
+    (touched < Aux_graph.Lazy.num_vertices lz)
 
 (* ------------------------------------------------------------------ *)
 (* EEDCB *)
@@ -647,30 +647,15 @@ let test_fr_unfireable_relays_reported () =
 
 let test_spt_quickstart () =
   let p = quickstart_problem () in
-  let eager = Spt.plan (Planner.Ctx.make ()) p in
-  check_bool "feasible" true eager.Planner.Outcome.report.Feasibility.feasible;
-  Alcotest.(check (list int)) "everyone reached" [] eager.Planner.Outcome.unreached;
+  let spt = Spt.plan (Planner.Ctx.make ()) p in
+  check_bool "feasible" true spt.Planner.Outcome.report.Feasibility.feasible;
+  Alcotest.(check (list int)) "everyone reached" [] spt.Planner.Outcome.unreached;
   (* The Steiner solver shares relays; the path union cannot beat it
      here, and both must stay feasible. *)
   let e = run_eedcb p in
   check_bool "eedcb <= spt" true
     (Schedule.total_cost e.Planner.Outcome.schedule
-    <= Schedule.total_cost eager.Planner.Outcome.schedule +. 1e-9)
-
-let test_spt_lazy_matches_eager () =
-  List.iter
-    (fun p ->
-      let eager = Spt.plan (Planner.Ctx.make ()) p in
-      let lzy = Spt.plan (Planner.Ctx.make ~lazy_aux:true ()) p in
-      check_bool "schedules equal" true
-        (Schedule.equal eager.Planner.Outcome.schedule lzy.Planner.Outcome.schedule);
-      Alcotest.(check (list int))
-        "unreached equal" eager.Planner.Outcome.unreached lzy.Planner.Outcome.unreached)
-    [
-      quickstart_problem ();
-      quickstart_problem ~deadline:40. ();
-      quickstart_problem ~deadline:30. ();
-    ]
+    <= Schedule.total_cost spt.Planner.Outcome.schedule +. 1e-9)
 
 let test_spt_on_scale_scenario () =
   (* End-to-end on a small clustered Scale instance: lazy SPT reaches
@@ -682,19 +667,19 @@ let test_spt_on_scale_scenario () =
       ~deadline:(Scale.deadline ~params ()) ()
   in
   let dts = Problem.dts ~cap_per_node:64 p in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
-  let outcome = Spt.plan (Planner.Ctx.make ~lazy_aux:true ~cap_per_node:64 ()) p in
+  let lz = Aux_graph.Lazy.create p dts in
+  let outcome = Spt.plan (Planner.Ctx.make ~cap_per_node:64 ()) p in
   check_bool "feasible" true outcome.Planner.Outcome.report.Feasibility.feasible;
   Alcotest.(check (list int)) "everyone reached" [] outcome.Planner.Outcome.unreached;
   (* Replay the planner's scan on a fresh lazy graph to measure the
      frontier cut on this instance. *)
   ignore
     (Tmedb_steiner.Dijkstra.run_view
-       ~targets:(Aux_graph.Lazy.terminals lazy_aux)
-       (Aux_graph.Lazy.view lazy_aux)
-       ~src:(Aux_graph.Lazy.source_vertex lazy_aux));
-  let total = Aux_graph.Lazy.num_vertices lazy_aux in
-  let touched = Aux_graph.Lazy.nodes_materialized lazy_aux in
+       ~targets:(Aux_graph.Lazy.terminals lz)
+       (Aux_graph.Lazy.view lz)
+       ~src:(Aux_graph.Lazy.source_vertex lz));
+  let total = Aux_graph.Lazy.num_vertices lz in
+  let touched = Aux_graph.Lazy.nodes_materialized lz in
   check_bool "frontier cut" true (touched * 2 < total)
 
 (* ------------------------------------------------------------------ *)
@@ -1148,13 +1133,12 @@ let () =
           tc "shape" test_aux_graph_shape;
           tc "extract roundtrip" test_aux_graph_extract_roundtrip;
           tc "deadline blocks late levels" test_aux_graph_deadline_blocks_late_levels;
-          tc "lazy equivalence" test_lazy_aux_equivalence;
-          tc "lazy frontier partial" test_lazy_aux_frontier_is_partial;
+          tc "lazy equivalence" test_lazy_equivalence;
+          tc "lazy frontier partial" test_lazy_frontier_is_partial;
         ] );
       ( "spt",
         [
           tc "quickstart" test_spt_quickstart;
-          tc "lazy matches eager" test_spt_lazy_matches_eager;
           tc "scale scenario end-to-end" test_spt_on_scale_scenario;
         ] );
       ( "eedcb",

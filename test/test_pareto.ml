@@ -135,9 +135,7 @@ let test_sweep_shared_matches_independent () =
       let planner = alg name in
       let shared = Pareto.sweep ~planner ~deadlines:grid p in
       let indep = Pareto.sweep ~share:false ~planner ~deadlines:grid p in
-      let indep_lazy = Pareto.sweep ~share:false ~lazy_aux:true ~planner ~deadlines:grid p in
-      sweep_equal (name ^ " shared vs eager") shared indep;
-      sweep_equal (name ^ " shared vs lazy") shared indep_lazy)
+      sweep_equal (name ^ " shared vs one-shot") shared indep)
     [ ("EEDCB", `Rayleigh); ("SPT", `Static) ]
 
 let test_sweep_consistency () =

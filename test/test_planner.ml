@@ -162,18 +162,6 @@ let test_compare_parity () =
         compare_golden (compare_digest ~jobs))
     [ 1; 2; 4 ]
 
-(* Lazy auxiliary-graph expansion is a pure representation change:
-   the very same golden digest must come out with [aux_lazy = true],
-   serial and parallel alike. *)
-let test_fig6_lazy_parity () =
-  List.iter
-    (fun jobs ->
-      check_string
-        (Printf.sprintf "fig6 lazy digest jobs=%d" jobs)
-        fig6_golden
-        (fig6_digest ~config:{ tiny with Experiment.aux_lazy = true } ~jobs ()))
-    [ 1; 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* Outcome plumbing: artifacts survive the registry round-trip. *)
 
@@ -212,7 +200,6 @@ let () =
         [
           slow "fig6 digests pre-refactor golden" test_fig6_parity;
           slow "compare digests pre-refactor golden" test_compare_parity;
-          slow "fig6 digests lazy aux graph" test_fig6_lazy_parity;
         ] );
       ("outcome", [ slow "artifacts round-trip" test_outcome_artifacts ]);
     ]

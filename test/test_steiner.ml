@@ -224,19 +224,6 @@ let test_dst_validation () =
   Alcotest.check_raises "terminal range" (Invalid_argument "Dst.solve: terminal out of range")
     (fun () -> ignore (Dst.solve g ~root:0 ~terminals:[ 9 ]))
 
-let test_dst_candidate_restriction () =
-  (* Restricting branch points still covers everything (paths may pass
-     through non-candidate vertices). *)
-  let g =
-    Digraph.of_edges ~n:5
-      [ (0, 4, 7.); (4, 1, 1.); (4, 2, 1.); (4, 3, 1.); (0, 1, 6.); (0, 2, 6.); (0, 3, 6.) ]
-  in
-  let o = Dst.solve ~level:2 ~candidates:[ 0 ] g ~root:0 ~terminals:[ 1; 2; 3 ] in
-  check_bool "covers all" true (o.Dst.uncovered = []);
-  (* The full-candidate solve can only be at least as good. *)
-  let full = Dst.solve ~level:2 g ~root:0 ~terminals:[ 1; 2; 3 ] in
-  check_bool "restriction never helps" true (full.Dst.tree.Dst.cost <= o.Dst.tree.Dst.cost +. 1e-9)
-
 (* Random-instance properties: the solution covers every reachable
    terminal, its edges exist in the graph, its cost >= the shortest
    path to the farthest covered terminal (trivial lower bound) and <=
@@ -343,7 +330,6 @@ let () =
           tc "prune removes slack" test_dst_prune_removes_slack;
           tc "tree cost dedups" test_dst_tree_cost_dedups;
           tc "validation" test_dst_validation;
-          tc "candidate restriction" test_dst_candidate_restriction;
           QCheck_alcotest.to_alcotest prop_dst_sound;
           QCheck_alcotest.to_alcotest prop_dst_prune_keeps_coverage;
           QCheck_alcotest.to_alcotest prop_dst_pruned_is_arborescence;

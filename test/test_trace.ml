@@ -88,10 +88,25 @@ let test_csv_headerless () =
       check_int "derived n" 4 (Trace.n t);
       check_int "contacts" 2 (Trace.num_contacts t)
 
+(* A malformed row is an error naming its line: bad fields, trailing
+   fields or junk (never silently dropped), and distances that are not
+   finite and positive. *)
 let test_csv_bad_line () =
-  match Trace.of_csv "0,1,notanumber,3,1\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected parse error"
+  List.iter
+    (fun row ->
+      match Trace.of_csv ("# a comment\n0,1,0,10,5\n" ^ row ^ "\n") with
+      | Error e ->
+          check_bool (Printf.sprintf "%S: error names line 3 (%s)" row e) true
+            (String.length e >= 7 && String.sub e 0 7 = "line 3:")
+      | Ok _ -> Alcotest.failf "%S: expected a parse error" row)
+    [
+      "0,1,notanumber,3,1";
+      "0,1,0,10,5,7";
+      "0,1,0,10,5 junk";
+      "0,1,0,10,1e400";
+      "0,1,0,10,nan";
+      "0,1,0,10,-2";
+    ]
 
 let test_csv_comments_and_blanks () =
   let body = "# a comment\n\n0,1,1.0,2.0,3.0\n" in
