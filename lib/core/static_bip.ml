@@ -110,28 +110,25 @@ let plan (_ctx : Planner.Ctx.t) (problem : Problem.t) =
     end
   in
   schedule_parent problem.Problem.source;
-  let rec drain () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some (t, i) ->
-        if not fired.(i) then begin
-          fired.(i) <- true;
-          txs := { Schedule.relay = i; time = t; cost = power.(i) } :: !txs;
-          (* Children adjacent now and within static range receive. *)
-          List.iter
-            (fun c ->
-              if not (Float.is_finite informed_at.(c)) then begin
-                match Tveg.dist_at g i c t with
-                | Some d when Phy.min_cost phy ~dist:d <= power.(i) ->
-                    informed_at.(c) <- t +. tau;
-                    schedule_parent c
-                | Some _ | None -> ()
-              end)
-            children.(i)
-        end;
-        drain ()
-  in
-  drain ();
+  while not (Pqueue.is_empty queue) do
+    let t = Pqueue.min_prio queue and i = Pqueue.min_value queue in
+    Pqueue.drop_min queue;
+    if not fired.(i) then begin
+      fired.(i) <- true;
+      txs := { Schedule.relay = i; time = t; cost = power.(i) } :: !txs;
+      (* Children adjacent now and within static range receive. *)
+      List.iter
+        (fun c ->
+          if not (Float.is_finite informed_at.(c)) then begin
+            match Tveg.dist_at g i c t with
+            | Some d when Phy.min_cost phy ~dist:d <= power.(i) ->
+                informed_at.(c) <- t +. tau;
+                schedule_parent c
+            | Some _ | None -> ()
+          end)
+        children.(i)
+    end
+  done;
   let schedule = Schedule.of_transmissions !txs in
   let report = Feasibility.check problem schedule in
   let unreached =

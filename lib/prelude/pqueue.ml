@@ -1,76 +1,73 @@
-type 'a entry = { prio : float; value : 'a }
-type 'a t = { mutable data : 'a entry array; mutable size : int }
+(* Priorities and values in two parallel arrays: priorities stay
+   unboxed, and a push or a drop allocates nothing unless the arrays
+   grow. *)
+type t = { mutable prio : float array; mutable value : int array; mutable size : int }
 
-(* [capacity] is only a hint; storage is allocated lazily because an
-   ['a entry array] needs a witness value. *)
-let create ?capacity () =
-  ignore capacity;
-  { data = [||]; size = 0 }
-
+let create () = { prio = [||]; value = [||]; size = 0 }
 let length q = q.size
 let is_empty q = q.size = 0
 
-let grow q entry =
-  let cap = Array.length q.data in
+let grow q =
+  let cap = Array.length q.prio in
   if q.size = cap then begin
     let ncap = Stdlib.max 16 (2 * cap) in
-    let ndata = Array.make ncap entry in
-    Array.blit q.data 0 ndata 0 q.size;
-    q.data <- ndata
+    let nprio = Array.make ncap 0. and nvalue = Array.make ncap 0 in
+    Array.blit q.prio 0 nprio 0 q.size;
+    Array.blit q.value 0 nvalue 0 q.size;
+    q.prio <- nprio;
+    q.value <- nvalue
   end
 
-let rec sift_up data i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if data.(i).prio < data.(parent).prio then begin
-      let tmp = data.(i) in
-      data.(i) <- data.(parent);
-      data.(parent) <- tmp;
-      sift_up data parent
+(* The sifts move a hole instead of swapping, which places every entry
+   exactly where the swap formulation would: a child rises past its
+   parent only on a strict [<], and sinking prefers the left child
+   unless the right one is strictly smaller. *)
+let sift_up q i p v =
+  let prio = q.prio and value = q.value in
+  let i = ref i in
+  while !i > 0 && p < prio.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    prio.(!i) <- prio.(parent);
+    value.(!i) <- value.(parent);
+    i := parent
+  done;
+  prio.(!i) <- p;
+  value.(!i) <- v
+
+let sift_down q i p v =
+  let prio = q.prio and value = q.value and size = q.size in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c = if l < size && prio.(l) < p then l else !i in
+    let c = if r < size && prio.(r) < (if c = !i then p else prio.(c)) then r else c in
+    if c = !i then moving := false
+    else begin
+      prio.(!i) <- prio.(c);
+      value.(!i) <- value.(c);
+      i := c
     end
-  end
+  done;
+  prio.(!i) <- p;
+  value.(!i) <- v
 
-let rec sift_down data size i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < size && data.(l).prio < data.(!smallest).prio then smallest := l;
-  if r < size && data.(r).prio < data.(!smallest).prio then smallest := r;
-  if !smallest <> i then begin
-    let tmp = data.(i) in
-    data.(i) <- data.(!smallest);
-    data.(!smallest) <- tmp;
-    sift_down data size !smallest
-  end
-
-let push q prio value =
-  let entry = { prio; value } in
-  grow q entry;
-  q.data.(q.size) <- entry;
+let push q p v =
+  grow q;
   q.size <- q.size + 1;
-  sift_up q.data (q.size - 1)
+  sift_up q (q.size - 1) p v
 
-let peek q = if q.size = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
+let check_nonempty q fn = if q.size = 0 then invalid_arg ("Pqueue." ^ fn ^ ": empty")
 
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.data.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.data.(0) <- q.data.(q.size);
-      sift_down q.data q.size 0
-    end;
-    Some (top.prio, top.value)
-  end
+let min_prio q =
+  check_nonempty q "min_prio";
+  q.prio.(0)
 
-let pop_exn q =
-  match pop q with Some x -> x | None -> invalid_arg "Pqueue.pop_exn: empty"
+let min_value q =
+  check_nonempty q "min_value";
+  q.value.(0)
 
-let clear q = q.size <- 0
-
-let to_sorted_list q =
-  let copy = { data = Array.sub q.data 0 q.size; size = q.size } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
+let drop_min q =
+  check_nonempty q "drop_min";
+  q.size <- q.size - 1;
+  if q.size > 0 then sift_down q 0 q.prio.(q.size) q.value.(q.size)

@@ -1,27 +1,38 @@
-(** Mutable binary min-heap keyed by float priorities.
+(** Mutable binary min-heap of [int] values keyed by float priorities.
 
-    Used by Dijkstra on the auxiliary graph and by the discrete-event
-    broadcast simulator.  Stale-entry (lazy-deletion) usage is the
-    caller's concern: [push] never updates an existing key. *)
+    Used by Dijkstra on the auxiliary graph, the temporal
+    earliest-arrival scans ({!Tmedb_tveg.Tveg.earliest_arrival},
+    {!Tmedb_tvg.Journey.earliest_arrival}) and the static-tree replay
+    of [Tmedb.Static_bip].  Priorities and values live in two unboxed
+    arrays, so {!push}, {!min_prio}, {!min_value} and {!drop_min}
+    allocate nothing except when the arrays grow.
 
-type 'a t
+    Equal priorities are not served first-in first-out.  The pop
+    order is a deterministic function of the push/drop sequence: a
+    pushed entry rises past its parent only if strictly smaller; a
+    drop moves the last entry to the root, which then sinks to its
+    left child if that is strictly smaller, or to its right child if
+    that is strictly smaller still.  Results that depend on tie order
+    (Dijkstra's predecessors on 0-weight edges, say) are pinned to
+    these rules.
 
-val create : ?capacity:int -> unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+    Stale-entry (lazy-deletion) usage is the caller's concern: [push]
+    never updates an existing key. *)
 
-val push : 'a t -> float -> 'a -> unit
-(** Insert a value with the given priority. *)
+type t
 
-val peek : 'a t -> (float * 'a) option
-(** Minimum-priority entry without removing it. *)
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum-priority entry. *)
+val push : t -> float -> int -> unit
+(** [push q p v] inserts value [v] with priority [p]. *)
 
-val pop_exn : 'a t -> float * 'a
-(** @raise Invalid_argument on an empty queue. *)
+val min_prio : t -> float
+(** Priority of the minimum entry.  @raise Invalid_argument when empty. *)
 
-val clear : 'a t -> unit
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive: entries in ascending priority order. *)
+val min_value : t -> int
+(** Value of the minimum entry.  @raise Invalid_argument when empty. *)
+
+val drop_min : t -> unit
+(** Remove the minimum entry.  @raise Invalid_argument when empty. *)

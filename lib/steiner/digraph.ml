@@ -40,12 +40,30 @@ let fold_succ g u f init =
 
 let out_degree g u = g.row.(u + 1) - g.row.(u)
 
+(* Counting sort by target.  Sources are visited from [n-1] down to 0
+   and each row from its last edge to its first, so every reversed row
+   lists its predecessors in the order a list-based [of_edges] of the
+   prepended (v, u, w) triples gave: that order decides Dijkstra's
+   tie-breaks on the reversed graph. *)
 let reverse g =
-  let edges = ref [] in
-  for u = 0 to g.n - 1 do
-    iter_succ g u (fun v w -> edges := (v, u, w) :: !edges)
+  let m = m g in
+  let row = Array.make (g.n + 1) 0 in
+  Array.iter (fun v -> row.(v + 1) <- row.(v + 1) + 1) g.dst;
+  for i = 1 to g.n do
+    row.(i) <- row.(i) + row.(i - 1)
   done;
-  of_edges ~n:g.n !edges
+  let cursor = Array.sub row 0 g.n in
+  let dst = Array.make m 0 and weight = Array.make m 0. in
+  for u = g.n - 1 downto 0 do
+    for k = g.row.(u + 1) - 1 downto g.row.(u) do
+      let v = g.dst.(k) in
+      let c = cursor.(v) in
+      dst.(c) <- u;
+      weight.(c) <- g.weight.(k);
+      cursor.(v) <- c + 1
+    done
+  done;
+  { n = g.n; row; dst; weight }
 
 let edge_weight g u v =
   fold_succ g u

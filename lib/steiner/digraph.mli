@@ -23,7 +23,9 @@ val iter_succ : t -> int -> (int -> float -> unit) -> unit
 val fold_succ : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
 val out_degree : t -> int -> int
 val reverse : t -> t
-(** Transposed graph (weights preserved). *)
+(** Transposed graph (weights preserved).  Row v lists the sources u
+    of edges u→v by descending u, and parallel edges of one u in
+    reverse order.  O(n + m). *)
 
 val edge_weight : t -> int -> int -> float option
 (** Minimum weight among parallel u→v edges, if any. *)
@@ -33,9 +35,9 @@ type view = {
   iter_succ : int -> (int -> float -> unit) -> unit;
       (** [iter_succ u f] calls [f v w] for every edge u→v of weight
           w.  The enumeration order must be deterministic: the
-          traversal algorithms break priority ties by operation
-          sequence, so callers providing generated views must emit
-          successors in a fixed order. *)
+          traversal algorithms resolve priority ties by heap position,
+          which depends on the push sequence, so callers providing
+          generated views must emit successors in a fixed order. *)
 }
 (** A graph exposed as an on-demand successor generator: the common
     face of a materialised CSR digraph and a lazily expanded one (see

@@ -42,35 +42,40 @@ let stop_set_of n targets =
    settled (or the queue empties first — unreachable targets degrade
    gracefully to a full drain).  Returns the number of successful
    relaxations (distance improvements), the per-run distribution
-   measure. *)
+   measure.
+
+   One relax closure serves the whole drain: the popped distance sits
+   in a one-cell float array (a float ref captured by a closure would
+   box on every write) and the popped vertex in an int ref. *)
 let drain ?stop (vw : Digraph.view) dist pred queue =
-  let relaxed = ref 0 in
-  let finished () = match stop with Some s -> s.pending = 0 | None -> false in
-  let rec go () =
-    if not (finished ()) then begin
-      match Pqueue.pop queue with
-      | None -> ()
-      | Some (d, u) ->
-          if d <= dist.(u) then begin
-            Tmedb_obs.Counter.incr c_settled;
-            (match stop with
-            | Some s when s.want.(u) ->
-                s.want.(u) <- false;
-                s.pending <- s.pending - 1
-            | Some _ | None -> ());
-            vw.Digraph.iter_succ u (fun v w ->
-                let nd = d +. w in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  pred.(v) <- u;
-                  incr relaxed;
-                  Pqueue.push queue nd v
-                end)
-          end;
-          go ()
+  let relaxed = ref 0 and settled = ref 0 in
+  let du = [| 0. |] and cur = ref 0 in
+  let relax v w =
+    let nd = du.(0) +. w in
+    if nd < dist.(v) then begin
+      dist.(v) <- nd;
+      pred.(v) <- !cur;
+      incr relaxed;
+      Pqueue.push queue nd v
     end
   in
-  go ();
+  let finished () = match stop with Some s -> s.pending = 0 | None -> false in
+  while (not (finished ())) && not (Pqueue.is_empty queue) do
+    let d = Pqueue.min_prio queue and u = Pqueue.min_value queue in
+    Pqueue.drop_min queue;
+    if d <= dist.(u) then begin
+      incr settled;
+      (match stop with
+      | Some s when s.want.(u) ->
+          s.want.(u) <- false;
+          s.pending <- s.pending - 1
+      | Some _ | None -> ());
+      du.(0) <- d;
+      cur := u;
+      vw.Digraph.iter_succ u relax
+    end
+  done;
+  Tmedb_obs.Counter.add c_settled !settled;
   !relaxed
 
 let run_multi_view ?targets (vw : Digraph.view) ~sources =

@@ -51,29 +51,30 @@ let tree_cost edges =
   in
   total
 
-(* Per-terminal reversed-graph Dijkstra: distances v -> terminal and
-   the next hop of v on a shortest such path. *)
+(* Per-terminal reversed-graph Dijkstra: the next hop of v on a
+   shortest path v -> terminal.  The distances feed the terminal table
+   ([build_table]). *)
 type terminal_maps = {
   ids : int array;  (* terminal vertex ids *)
-  dist : float array array;  (* dist.(ti).(v) *)
   next : int array array;  (* next hop from v toward terminal ti *)
 }
 
 (* [rev] is the reversed graph as a view, so a lazily generated reverse
-   adjacency works. *)
+   adjacency works.  Returns the maps and the k distance rows
+   [dist.(ti).(v)], which only [build_table] reads. *)
 let build_terminal_maps ~rev terminals =
-  let tm = Tmedb_obs.Timer.start t_terminal_maps in
-  let ids = Array.of_list terminals in
-  let dist = Array.make (Array.length ids) [||] in
-  let next = Array.make (Array.length ids) [||] in
-  Array.iteri
-    (fun ti term ->
-      let r = Dijkstra.run_view rev ~src:term in
-      dist.(ti) <- r.Dijkstra.dist;
-      next.(ti) <- r.Dijkstra.pred)
-    ids;
-  Tmedb_obs.Timer.stop t_terminal_maps tm;
-  { ids; dist; next }
+  Tmedb_obs.Span.with_ "dst.terminal_maps" (fun () ->
+      Tmedb_obs.Timer.time t_terminal_maps (fun () ->
+          let ids = Array.of_list terminals in
+          let dist = Array.make (Array.length ids) [||] in
+          let next = Array.make (Array.length ids) [||] in
+          Array.iteri
+            (fun ti term ->
+              let r = Dijkstra.run_view rev ~src:term in
+              dist.(ti) <- r.Dijkstra.dist;
+              next.(ti) <- r.Dijkstra.pred)
+            ids;
+          ({ ids; next }, dist)))
 
 (* Edges of the shortest path v -> terminal ti, following next hops. *)
 let path_to_terminal fwd maps ~ti ~v =
@@ -92,70 +93,94 @@ let path_to_terminal fwd maps ~ti ~v =
   in
   walk v []
 
+(* Every vertex's terminal distances in ascending (distance, terminal
+   index) order, as two flat arrays: row v is [v*k .. v*k+k-1].  This
+   table is both the A_1 lookup and the level-2 scan's whole memory
+   traffic, so it stays unboxed. *)
+type terminal_table = { k : int; term_dist : float array; term_id : int array }
+
+(* Insertion sort per row: terminal ti is inserted behind every entry
+   that is not larger, so equal distances keep ascending indices — the
+   order a sort of (dist, ti) pairs gives. *)
+let build_table ~nv dist =
+  Tmedb_obs.Span.with_ "dst.table" (fun () ->
+      let k = Array.length dist in
+      let term_dist = Array.make (nv * k) 0. and term_id = Array.make (nv * k) 0 in
+      for v = 0 to nv - 1 do
+        let base = v * k in
+        for ti = 0 to k - 1 do
+          let d = dist.(ti).(v) in
+          let j = ref (base + ti) in
+          while !j > base && Float.compare term_dist.(!j - 1) d > 0 do
+            term_dist.(!j) <- term_dist.(!j - 1);
+            term_id.(!j) <- term_id.(!j - 1);
+            decr j
+          done;
+          term_dist.(!j) <- d;
+          term_id.(!j) <- ti
+        done
+      done;
+      { k; term_dist; term_id })
+
 type candidate = { cand_edges : (int * int * float) list; cand_cost : float; cand_terms : int list }
 
-(* A_1: shortest paths from v to the [need] nearest remaining terminals. *)
-let a1_candidate fwd maps ~need ~v ~remaining =
-  let reachable = ref [] in
-  Array.iteri
-    (fun ti alive -> if alive && Float.is_finite maps.dist.(ti).(v) then
-        reachable := (maps.dist.(ti).(v), ti) :: !reachable)
-    remaining;
-  let sorted = List.sort compare !reachable in
-  let chosen = List.filteri (fun i _ -> i < need) sorted in
-  if chosen = [] then None
+(* A_1: shortest paths from v to the [need] nearest remaining
+   terminals, read off the front of v's table row. *)
+let a1_candidate fwd maps table ~need ~v ~remaining =
+  let base = v * table.k in
+  let chosen = ref [] and cnt = ref 0 in
+  for i = base to base + table.k - 1 do
+    let ti = table.term_id.(i) in
+    if !cnt < need && remaining.(ti) && Float.is_finite table.term_dist.(i) then begin
+      chosen := ti :: !chosen;
+      incr cnt
+    end
+  done;
+  if !chosen = [] then None
   else begin
+    let chosen = List.rev !chosen in
     let set = Edge_set.create fwd.Digraph.nv in
-    List.iter (fun (_, ti) -> Edge_set.add_list set (path_to_terminal fwd maps ~ti ~v)) chosen;
-    Some
-      {
-        cand_edges = Edge_set.to_list set;
-        cand_cost = Edge_set.cost set;
-        cand_terms = List.map snd chosen;
-      }
+    List.iter (fun ti -> Edge_set.add_list set (path_to_terminal fwd maps ~ti ~v)) chosen;
+    Some { cand_edges = Edge_set.to_list set; cand_cost = Edge_set.cost set; cand_terms = chosen }
   end
-
-(* Per-vertex terminal distances in ascending order, stored as
-   parallel unboxed arrays (this table dominates the level-2 scan's
-   memory traffic). *)
-type terminal_table = { term_dist : float array array; term_id : int array array }
 
 (* Fast level-2 scan: for every intermediate vertex u and every count
    cnt <= need, the density of [path tree->u] + [A_1(cnt, u)] using
    plain distance sums; returns the best (u, cnt). *)
 let scan_level2 ~dist_v ~remaining ~need ~table =
   Tmedb_obs.Counter.incr c_level2_scans;
-  let best_density = ref Float.infinity in
-  let best = ref None in
-  for u = 0 to Array.length dist_v - 1 do
-    let du = dist_v.(u) in
-    if Float.is_finite du then begin
-      let dists = table.term_dist.(u) and ids = table.term_id.(u) in
-      let sum = ref du in
-      let cnt = ref 0 in
-      let k = ref 0 in
-      let len = Array.length dists in
-      let continue = ref true in
-      while !continue && !k < len do
-        let d = dists.(!k) in
-        if not (Float.is_finite d) then continue := false
-        else begin
-          if remaining.(ids.(!k)) then begin
-            sum := !sum +. d;
-            incr cnt;
-            let density = !sum /. float_of_int !cnt in
-            if density < !best_density then begin
-              best_density := density;
-              best := Some (density, u, !cnt)
-            end;
-            if !cnt >= need then continue := false
-          end;
-          incr k
+  Tmedb_obs.Span.with_ "dst.level2_scan" (fun () ->
+      let k = table.k and term_dist = table.term_dist and term_id = table.term_id in
+      let best_density = ref Float.infinity in
+      let best_u = ref (-1) and best_cnt = ref 0 in
+      for u = 0 to Array.length dist_v - 1 do
+        let du = dist_v.(u) in
+        if Float.is_finite du then begin
+          let sum = ref du in
+          let cnt = ref 0 in
+          let i = ref (u * k) in
+          let stop = (u * k) + k in
+          while !i < stop do
+            let d = term_dist.(!i) in
+            if not (Float.is_finite d) then i := stop
+            else begin
+              if remaining.(term_id.(!i)) then begin
+                sum := !sum +. d;
+                incr cnt;
+                let density = !sum /. float_of_int !cnt in
+                if density < !best_density then begin
+                  best_density := density;
+                  best_u := u;
+                  best_cnt := !cnt
+                end;
+                if !cnt >= need then i := stop
+              end;
+              incr i
+            end
+          done
         end
-      done
-    end
-  done;
-  !best
+      done;
+      if !best_u < 0 then None else Some (!best_u, !best_cnt))
 
 (* Tree-growing recursive greedy: each round connects the best-density
    (intermediate vertex, terminal count) candidate to the *current*
@@ -163,7 +188,7 @@ let scan_level2 ~dist_v ~remaining ~need ~table =
    a strict improvement over connecting every pick at [v] since merged
    path segments are paid once and inform later picks. *)
 let rec build_candidate fwd maps ~table ~level ~need ~v ~remaining ~rounds =
-  if level <= 1 then a1_candidate fwd maps ~need ~v ~remaining
+  if level <= 1 then a1_candidate fwd maps table ~need ~v ~remaining
   else begin
     let remaining = Array.copy remaining in
     let set = Edge_set.create fwd.Digraph.nv in
@@ -174,15 +199,17 @@ let rec build_candidate fwd maps ~table ~level ~need ~v ~remaining ~rounds =
     let progress = ref true in
     (* Distances from the growing tree, warm-restarted as members are
        added (distances only decrease). *)
-    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] in
+    let tree_dist =
+      Tmedb_obs.Span.with_ "dst.tree_dist" (fun () -> Dijkstra.run_multi_view fwd ~sources:[ v ])
+    in
     while !still_needed > 0 && !progress do
       let dist_v = tree_dist.Dijkstra.dist and pred_v = tree_dist.Dijkstra.pred in
       let pick =
         if level = 2 then begin
           match scan_level2 ~dist_v ~remaining ~need:!still_needed ~table with
           | None -> None
-          | Some (_, u, cnt) -> (
-              match a1_candidate fwd maps ~need:cnt ~v:u ~remaining with
+          | Some (u, cnt) -> (
+              match a1_candidate fwd maps table ~need:cnt ~v:u ~remaining with
               | None -> None
               | Some sub -> Some (u, sub))
         end
@@ -247,7 +274,8 @@ let rec build_candidate fwd maps ~table ~level ~need ~v ~remaining ~rounds =
           in
           note_edges (connect u []);
           note_edges sub.cand_edges;
-          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh;
+          Tmedb_obs.Span.with_ "dst.refine" (fun () ->
+              Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh);
           List.iter
             (fun ti ->
               if remaining.(ti) then begin
@@ -269,23 +297,11 @@ let solve_body ~level ~rounds ~fwd ~rev ~root ~terminals =
     (fun t -> if t < 0 || t >= nv then invalid_arg "Dst.solve: terminal out of range")
     terminals;
   let terminals = List.filter (fun t -> t <> root) (List.sort_uniq Int.compare terminals) in
-  let maps = build_terminal_maps ~rev terminals in
+  let maps, dist = build_terminal_maps ~rev terminals in
   let k = Array.length maps.ids in
-  (* For each vertex, terminal distances ascending: the A_1 lookup
-     table used by the level-2 scan. *)
-  let table =
-    let term_dist = Array.make nv [||] and term_id = Array.make nv [||] in
-    let scratch = Array.init k (fun ti -> (0., ti)) in
-    for v = 0 to nv - 1 do
-      for ti = 0 to k - 1 do
-        scratch.(ti) <- (maps.dist.(ti).(v), ti)
-      done;
-      Array.sort compare scratch;
-      term_dist.(v) <- Array.map fst scratch;
-      term_id.(v) <- Array.map snd scratch
-    done;
-    { term_dist; term_id }
-  in
+  (* Nothing reads the k distance rows after this: the greedy runs on
+     the table, so they are garbage before the first round. *)
+  let table = build_table ~nv dist in
   let remaining = Array.make k true in
   let result =
     build_candidate fwd maps ~table ~level ~need:k ~v:root ~remaining ~rounds

@@ -258,17 +258,14 @@ let earliest_arrival t ~src ~t0 =
               p.presence)
       t.adj.(i)
   in
-  let rec drain () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some (a, i) ->
-        if not settled.(i) then begin
-          settled.(i) <- true;
-          relax i a
-        end;
-        drain ()
-  in
-  drain ();
+  while not (Pqueue.is_empty queue) do
+    let a = Pqueue.min_prio queue and i = Pqueue.min_value queue in
+    Pqueue.drop_min queue;
+    if not settled.(i) then begin
+      settled.(i) <- true;
+      relax i a
+    end
+  done;
   arrivals
 
 let pp ppf t =

@@ -79,6 +79,14 @@ for f in profile.folded flamegraph.html profile_detail.json profile_wall.folded;
     exit 1
   }
 done
+# The Steiner layer must be attributed below dst.solve: the terminal
+# maps and the level-2 scans are where an EEDCB solve spends its time.
+for frame in 'dst.solve;dst.terminal_maps ' 'dst.solve;dst.level2_scan '; do
+  grep -q "$frame" "$pdir/profile.folded" || {
+    echo "check.sh: profile.folded has no '$frame' frame" >&2
+    exit 1
+  }
+done
 dune exec bin/tmedb_cli.exe -- run -a EEDCB --seed 7 --trials 50 --jobs 4 \
   --ledger-timestamp 2026-01-01T00:00:00Z --profile "$pdir2" "$ptrace" >/dev/null
 for f in profile.json profile.folded; do

@@ -357,45 +357,75 @@ let prop_canonical_form =
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
+(* Pop one (priority, value) entry off the array heap. *)
+let pqueue_pop q =
+  if Pqueue.is_empty q then None
+  else begin
+    let entry = (Pqueue.min_prio q, Pqueue.min_value q) in
+    Pqueue.drop_min q;
+    Some entry
+  end
+
+let pqueue_drain q =
+  let rec go acc = match pqueue_pop q with Some e -> go (e :: acc) | None -> List.rev acc in
+  go []
+
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., "c"); (1., "a"); (2., "b") ];
-  Alcotest.(check (option (pair (float 0.) string))) "min" (Some (1., "a")) (Pqueue.peek q);
+  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., 30); (1., 10); (2., 20) ];
+  check_float "min prio" 1. (Pqueue.min_prio q);
+  check_int "min value" 10 (Pqueue.min_value q);
   check_int "size" 3 (Pqueue.length q);
-  let order = List.map snd (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  check_int "non-destructive" 3 (Pqueue.length q)
+  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] (List.map snd (pqueue_drain q));
+  check_bool "drained" true (Pqueue.is_empty q)
 
 let test_pqueue_pop_empty () =
   let q = Pqueue.create () in
-  check_bool "empty pop" true (Pqueue.pop q = None);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Pqueue.pop_exn: empty") (fun () ->
-      ignore (Pqueue.pop_exn q))
+  check_bool "empty pop" true (pqueue_pop q = None);
+  Alcotest.check_raises "drop_min" (Invalid_argument "Pqueue.drop_min: empty") (fun () ->
+      Pqueue.drop_min q);
+  Alcotest.check_raises "min_prio" (Invalid_argument "Pqueue.min_prio: empty") (fun () ->
+      ignore (Pqueue.min_prio q));
+  Alcotest.check_raises "min_value" (Invalid_argument "Pqueue.min_value: empty") (fun () ->
+      ignore (Pqueue.min_value q))
 
 let test_pqueue_random_stress () =
   let g = Rng.create 61 in
   let q = Pqueue.create () in
   let values = Array.init 2000 (fun _ -> Rng.unit_float g) in
-  Array.iter (fun v -> Pqueue.push q v v) values;
-  let drained = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (p, _) ->
-        drained := p :: !drained;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  let got = Array.of_list (List.rev !drained) in
+  Array.iteri (fun i v -> Pqueue.push q v i) values;
+  let got = Array.of_list (List.map fst (pqueue_drain q)) in
   let expected = Array.copy values in
   Array.sort Float.compare expected;
   Alcotest.(check (array (float 0.))) "heap sorts" expected got
 
 let test_pqueue_duplicates () =
   let q = Pqueue.create () in
-  Pqueue.push q 1. "x";
-  Pqueue.push q 1. "y";
+  Pqueue.push q 1. 7;
+  Pqueue.push q 1. 8;
   check_int "both kept" 2 (Pqueue.length q)
+
+(* Random interleaved push/pop sequences over four distinct
+   priorities, so nearly every comparison is a tie: the array heap
+   must pop exactly the (priority, value) sequence of the record heap
+   it replaced. *)
+let prop_pqueue_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"pqueue tie order matches the record heap"
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 4) (int_bound 99)))
+    (fun ops ->
+      let q = Pqueue.create () and r = Pqueue_ref.create () in
+      let agree = ref true in
+      List.iter
+        (fun (p, v) ->
+          (* Priority 4 encodes a pop; 0..3 a push with that priority. *)
+          if p = 4 then agree := !agree && pqueue_pop q = Pqueue_ref.pop r
+          else begin
+            Pqueue.push q (float_of_int p) v;
+            Pqueue_ref.push r (float_of_int p) v
+          end)
+        ops;
+      let rec rest acc = match Pqueue_ref.pop r with Some e -> rest (e :: acc) | None -> List.rev acc in
+      !agree && Pqueue.length q = Pqueue_ref.length r && pqueue_drain q = rest [])
 
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
@@ -632,6 +662,7 @@ let () =
           tc "pop empty" test_pqueue_pop_empty;
           tc "random stress" test_pqueue_random_stress;
           tc "duplicates" test_pqueue_duplicates;
+          QCheck_alcotest.to_alcotest prop_pqueue_matches_reference;
         ] );
       ( "bitset",
         [

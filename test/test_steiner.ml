@@ -33,6 +33,36 @@ let test_digraph_reverse () =
   Alcotest.(check (option (float 0.))) "reversed edge" (Some 1.) (Digraph.edge_weight g 1 0);
   Alcotest.(check (option (float 0.))) "forward gone" None (Digraph.edge_weight g 0 1)
 
+(* Every vertex's successor list, in enumeration order. *)
+let succ_lists g =
+  List.init (Digraph.n g) (fun u ->
+      List.rev (Digraph.fold_succ g u (fun acc v w -> (v, w) :: acc) []))
+
+(* [Digraph.reverse] fills the transposed CSR by counting; the list
+   reference prepends every (v, u, w) and hands the list to [of_edges],
+   which fixes the predecessor order Dijkstra's tie-breaks depend on.
+   Random multigraphs with parallel edges, self-loops and 0 weights. *)
+let prop_digraph_reverse_matches_list =
+  QCheck.Test.make ~name:"reverse matches the list-based transpose" ~count:200
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 8 in
+      let weights = [| 0.; 0.; 1.; 2.5 |] in
+      let edges =
+        List.init (Rng.int rng 30) (fun _ ->
+            (Rng.int rng n, Rng.int rng n, weights.(Rng.int rng (Array.length weights))))
+      in
+      let g = Digraph.of_edges ~n edges in
+      let reference =
+        let acc = ref [] in
+        for u = 0 to n - 1 do
+          Digraph.iter_succ g u (fun v w -> acc := (v, u, w) :: !acc)
+        done;
+        Digraph.of_edges ~n !acc
+      in
+      let r = Digraph.reverse g in
+      Digraph.m r = Digraph.m g && succ_lists r = succ_lists reference)
+
 let test_digraph_validation () =
   Alcotest.check_raises "negative weight" (Invalid_argument "Digraph.of_edges: negative weight")
     (fun () -> ignore (Digraph.of_edges ~n:2 [ (0, 1, -1.) ]));
@@ -195,6 +225,19 @@ let test_dst_level2_beats_level1_sometimes () =
   check_float "level 2 optimal" 10. o2.Dst.tree.Dst.cost;
   check_bool "level 2 <= level 1" true (o2.Dst.tree.Dst.cost <= o1.Dst.tree.Dst.cost)
 
+let test_dst_equidistant_terminals () =
+  (* Terminals 1 and 2 are both at distance 2 from the root, which is
+     the first best-density branch vertex of round one, and it takes
+     one terminal there.  The (distance, terminal index) order picks 1;
+     with 1 in the tree, 3 -> 2 becomes the cheapest way to reach 2 and
+     the tree costs 5.  Picking 2 first would pay the direct 0 -> 2
+     and cost 6. *)
+  let g = Digraph.of_edges ~n:4 [ (0, 1, 2.); (0, 2, 2.); (1, 3, 2.); (3, 2, 1.) ] in
+  let o = Dst.solve ~level:2 g ~root:0 ~terminals:[ 1; 2; 3 ] in
+  Alcotest.(check (list (triple int int (float 0.))))
+    "tree" [ (0, 1, 2.); (1, 3, 2.); (3, 2, 1.) ] o.Dst.tree.Dst.edges;
+  check_float "cost" 5. o.Dst.tree.Dst.cost
+
 let test_dst_unreachable_terminal () =
   let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
   let o = Dst.solve g ~root:0 ~terminals:[ 1; 2 ] in
@@ -298,6 +341,7 @@ let () =
           tc "basics" test_digraph_basics;
           tc "parallel edges" test_digraph_parallel_edges;
           tc "reverse" test_digraph_reverse;
+          QCheck_alcotest.to_alcotest prop_digraph_reverse_matches_list;
           tc "validation" test_digraph_validation;
           tc "fold" test_digraph_fold;
         ] );
@@ -325,6 +369,7 @@ let () =
           tc "star" test_dst_star;
           tc "shares path" test_dst_shares_path;
           tc "level 2 beats level 1" test_dst_level2_beats_level1_sometimes;
+          tc "equidistant terminals" test_dst_equidistant_terminals;
           tc "unreachable terminal" test_dst_unreachable_terminal;
           tc "root terminal free" test_dst_root_terminal_free;
           tc "prune removes slack" test_dst_prune_removes_slack;
